@@ -913,6 +913,7 @@ class PersistentPool:
         self._backlog = deque()
         self._ordinal = 0
         self._sel = selectors.DefaultSelector()
+        self._wake = None
         self._workers = []
         self._closed = False
         for _ in range(self.workers):
@@ -1136,7 +1137,7 @@ class PersistentPool:
                 completions.extend(self._on_death(worker))
         return completions
 
-    def poll(self, timeout=0.0):
+    def poll(self, timeout=0.0, wake=None):
         """Advance the pool; returns ``[(task_id, result_or_failure)]``.
 
         Drains finished results, detects and replaces dead workers,
@@ -1144,7 +1145,20 @@ class PersistentPool:
         workers.  ``timeout`` bounds the wait when nothing is ready;
         in-flight deadlines shorten it so a hung worker is killed on
         time rather than at the caller's cadence.
+
+        ``wake`` is an optional readable file object (the serve daemon
+        passes its listening socket).  It is registered in the pool's
+        own selector, so the wait also ends the moment ``wake`` becomes
+        readable and the caller blocks in one place only.  The pool
+        never reads it; it stays registered until a poll passes a
+        different one (or None).
         """
+        if wake is not self._wake:
+            if self._wake is not None:
+                self._sel.unregister(self._wake)
+            if wake is not None:
+                self._sel.register(wake, selectors.EVENT_READ)
+            self._wake = wake
         self._feed()
         completions = []
         if self.task_deadline is not None:
@@ -1158,6 +1172,8 @@ class PersistentPool:
                 timeout = min(timeout, min(deadlines))
         for key, _ in self._sel.select(timeout):
             worker = key.data
+            if worker is None:
+                continue  # the wake source: the caller reads it
             try:
                 chunk = os.read(worker.read_fd, 1 << 16)
             except OSError:

@@ -36,8 +36,14 @@ from .client import LoadShedded, ServeClient, ServeError, retry_jitter
 from .journal import Journal, JournalStats, read_journal, segment_paths
 from .protocol import (
     MAX_FRAME,
+    Encoded,
     ProtocolError,
+    canonical_json,
+    decode_fields,
+    encode,
+    encode_fields,
     error_response,
+    iter_canonical,
     ok_response,
     read_message,
     retry_after_response,
@@ -59,8 +65,14 @@ __all__ = [
     "retry_jitter",
     "segment_paths",
     "MAX_FRAME",
+    "Encoded",
     "ProtocolError",
+    "canonical_json",
+    "decode_fields",
+    "encode",
+    "encode_fields",
     "error_response",
+    "iter_canonical",
     "ok_response",
     "read_message",
     "retry_after_response",

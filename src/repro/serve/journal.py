@@ -10,7 +10,12 @@ Each line is ``{"sha256": <hex>, "body": {...}}`` where the digest
 covers the canonical (sorted, compact) serialization of ``body`` —
 the same discipline as the artifact sidecars in
 :mod:`repro.utils.serialization`, inlined per record because a journal
-is one growing file, not a set of immutable artifacts.  On replay:
+is one growing file, not a set of immutable artifacts.  The line itself
+is canonical too, and ``"body"`` sorts before ``"sha256"``, so a line is
+``{"body":`` + the canonical body + ``,"sha256":"<hex>"}``: the body is
+encoded once, values already :class:`~repro.serve.protocol.Encoded` are
+spliced in, and compaction streams the body into the file and the
+digest fragment by fragment.  On replay:
 
 * a *torn tail* (partial final line, or a final line whose checksum
   does not verify — the shape a crash mid-append leaves) is skipped
@@ -52,7 +57,7 @@ bounds the on-disk size without ever risking the write-ahead contract:
 
 1. compose a fresh segment — one ``checkpoint`` record followed by one
    ``accepted`` record per still-live (pending or in-flight) job;
-2. write it with :func:`repro.utils.serialization.atomic_write`
+2. stream it into :func:`repro.utils.serialization.atomic_write`
    (temp file + fsync + rename + parent-dir fsync), so the new head is
    durable *before* anything else changes;
 3. switch the append handle to the new segment;
@@ -79,11 +84,9 @@ import hashlib
 import json
 import os
 
+from .protocol import canonical_json, iter_canonical
+
 __all__ = ["Journal", "JournalStats", "read_journal", "segment_paths"]
-
-
-def _canonical(body):
-    return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
 def _digest(text):
@@ -91,12 +94,25 @@ def _digest(text):
 
 
 def _wrap(body):
-    """One checksummed journal line (no trailing newline) for ``body``."""
-    return json.dumps(
-        {"sha256": _digest(_canonical(body)), "body": body},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    """One checksummed journal line (no trailing newline) for ``body``.
+
+    Byte-identical to ``json.dumps({"sha256": digest, "body": body},
+    sort_keys=True, separators=(",", ":"))``, with the body encoded once.
+    """
+    text = canonical_json(body)
+    return '{"body":%s,"sha256":"%s"}' % (text, _digest(text))
+
+
+def _write_record(handle, body):
+    """Stream ``body``'s journal line (plus newline) into a binary
+    ``handle``: the same bytes as ``_wrap``, checksummed as it goes."""
+    digest = hashlib.sha256()
+    handle.write(b'{"body":')
+    for fragment in iter_canonical(body):
+        data = fragment.encode("utf-8")
+        digest.update(data)
+        handle.write(data)
+    handle.write(b',"sha256":"%s"}\n' % digest.hexdigest().encode("ascii"))
 
 
 def segment_paths(path):
@@ -213,7 +229,7 @@ def _verify_line(line):
     body = wrapper.get("body")
     if not isinstance(body, dict):
         return None
-    if wrapper.get("sha256") != _digest(_canonical(body)):
+    if wrapper.get("sha256") != _digest(canonical_json(body)):
         return None
     return body
 
@@ -332,8 +348,9 @@ class Journal:
         every still-live job (:meth:`repro.serve.queue.JobQueue.compact`
         composes it).  The sequencing is crash-safe at every step:
 
-        * the new segment is written with ``atomic_write`` (fsync +
-          rename + parent-dir fsync), so it is durable before the
+        * the new segment is streamed into ``atomic_write`` (fsync +
+          rename + parent-dir fsync), one record at a time and without
+          joining them into one string, so it is durable before the
           append handle moves;
         * old segments are unlinked only after the switchover, and
           replay's checkpoint-reset makes leftover old segments
@@ -345,11 +362,15 @@ class Journal:
         from ..utils.serialization import _fsync_directory, atomic_write
 
         maybe_fire("serve.compact", phase="begin")
-        data = "".join(_wrap(body) + "\n" for body in bodies).encode("utf-8")
         old_segments = segment_paths(self.path)
         new_index = self._active_index + 1
         new_path = "%s.%08d" % (self.path, new_index)
-        atomic_write(new_path, lambda handle: handle.write(data))
+
+        def write(handle):
+            for body in bodies:
+                _write_record(handle, body)
+
+        atomic_write(new_path, write)
         maybe_fire("serve.compact", phase="written")
         self._handle.close()
         self._handle = open(new_path, "a", encoding="utf-8")  # repro: noqa[RES001] append-only journal segment; atomic_write already made the checkpoint head durable

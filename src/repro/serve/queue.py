@@ -15,16 +15,47 @@ jobs are never re-executed at all (their results ride in the journal).
 (see :meth:`repro.serve.journal.Journal.compact` for the crash-safety
 sequencing), which bounds the on-disk journal to O(live jobs +
 checkpoint) without weakening any replay guarantee.
+
+Every job spec and settlement is held as
+:class:`~repro.serve.protocol.Encoded` fields, encoded exactly once (the
+spec at ``accept``, a ``done`` result in the worker that produced it),
+and decoded only when someone reads ``outcomes`` or ``accepted``.  The
+journal records, the ``done`` responses and the compaction checkpoint
+splice those fields, so a compaction re-encodes nothing.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Mapping
 
 from ..telemetry import get_metrics
 from .journal import Journal, read_journal
+from .protocol import decode_fields, encode_fields
 
 __all__ = ["JobQueue", "recover"]
+
+
+class _DecodedView(Mapping):
+    """Read-only ``job id -> dict`` view over encoded fields; each lookup
+    decodes a fresh dict, membership and length never decode."""
+
+    __slots__ = ("_fields",)
+
+    def __init__(self, fields):
+        self._fields = fields
+
+    def __getitem__(self, job_id):
+        return decode_fields(self._fields[job_id])
+
+    def __contains__(self, job_id):
+        return job_id in self._fields
+
+    def __iter__(self):
+        return iter(self._fields)
+
+    def __len__(self):
+        return len(self._fields)
 
 
 class JobQueue:
@@ -42,7 +73,8 @@ class JobQueue:
     ever accepted -> its job spec, regardless of where the job is now —
     it is how a retried submit of an id the daemon already holds is
     recognized as the *same* job instead of a duplicate (see
-    :meth:`ReproService._handle_submit`).
+    :meth:`ReproService._handle_submit`).  Both are read-only views that
+    decode a fresh dict per lookup.
     """
 
     def __init__(self, journal):
@@ -51,9 +83,19 @@ class JobQueue:
         self.journal = journal
         self.pending = OrderedDict()
         self.taken = OrderedDict()
-        self.outcomes = {}
-        self.accepted = {}
+        self._specs = {}
+        self._settled = {}
         self._seq = 0
+
+    @property
+    def accepted(self):
+        """Every job id ever accepted -> its spec (decoded on lookup)."""
+        return _DecodedView(self._specs)
+
+    @property
+    def outcomes(self):
+        """Every settled job id -> its settlement (decoded on lookup)."""
+        return _DecodedView(self._settled)
 
     # ------------------------------------------------------------------
     def depth(self):
@@ -64,42 +106,56 @@ class JobQueue:
 
         After this returns, the job is recoverable: a SIGKILL at any
         later point leaves an ``accepted`` record that replay turns
-        back into a pending job.
+        back into a pending job.  Each field of the spec is encoded
+        once, here, for this record and every later checkpoint.
         """
         job_id = job["job_id"]
-        if job_id in self.accepted:
+        if job_id in self._specs:
             raise ValueError("duplicate job id %r" % job_id)
+        spec = encode_fields(job)
         self._seq += 1
-        self.journal.append("accepted", fsync=True, seq=self._seq, **job)
+        self.journal.append("accepted", fsync=True, seq=self._seq, **spec)
         self.pending[job_id] = dict(job)
-        self.accepted[job_id] = dict(job)
+        self._specs[job_id] = spec
         get_metrics().counter("serve.accepted").inc()
         return job_id
 
     def settle_done(self, job_id, result):
-        """Journal a completed job's result and retire it from pending."""
-        self.journal.append("done", job_id=job_id, result=result)
-        self.pending.pop(job_id, None)
-        self.taken.pop(job_id, None)
-        self.outcomes[job_id] = {"status": "done", "result": result}
+        """Journal a completed job's result and retire it from pending.
+
+        ``result`` may already be :class:`~repro.serve.protocol.Encoded`
+        (what the daemon's workers return); it is then written as is.
+        """
+        outcome = encode_fields({"status": "done", "result": result})
+        self.journal.append("done", job_id=job_id, result=outcome["result"])
+        self._retire(job_id, outcome)
         get_metrics().counter("serve.completed").inc()
-        return self.outcomes[job_id]
 
     def settle_failed(self, job_id, reason, message=""):
         """Journal a failed job (typed reason) and retire it."""
-        self.journal.append("failed", job_id=job_id, reason=reason,
-                            message=message)
+        outcome = encode_fields(
+            {"status": "failed", "reason": reason, "message": message}
+        )
+        self.journal.append("failed", job_id=job_id,
+                            reason=outcome["reason"],
+                            message=outcome["message"])
+        self._retire(job_id, outcome)
+        get_metrics().counter("serve.failed").inc()
+
+    def _retire(self, job_id, outcome):
         self.pending.pop(job_id, None)
         self.taken.pop(job_id, None)
-        self.outcomes[job_id] = {
-            "status": "failed", "reason": reason, "message": message,
-        }
-        get_metrics().counter("serve.failed").inc()
-        return self.outcomes[job_id]
+        self._settled[job_id] = outcome
 
     def outcome(self, job_id):
         """The settlement for ``job_id``, or None while pending/unknown."""
         return self.outcomes.get(job_id)
+
+    def settlement(self, job_id):
+        """The settlement for ``job_id`` with its fields still
+        :class:`~repro.serve.protocol.Encoded` (what the daemon splices
+        into a ``result`` response), or None while pending/unknown."""
+        return self._settled.get(job_id)
 
     def take(self, limit):
         """Dequeue up to ``limit`` jobs (acceptance order) for dispatch.
@@ -130,20 +186,22 @@ class JobQueue:
         live jobs — taken first, then pending, preserving acceptance
         order — are re-journaled as fresh ``accepted`` records.  Replay
         of the compacted journal is byte-identical to replay of the
-        uncompacted one.  Returns the new active segment path.
+        uncompacted one.  Every record splices the fields encoded at
+        accept and settlement, so nothing is encoded again.  Returns
+        the new active segment path.
         """
         settled_specs = {
-            job_id: spec for job_id, spec in self.accepted.items()
-            if job_id in self.outcomes
+            job_id: spec for job_id, spec in self._specs.items()
+            if job_id in self._settled
         }
         bodies = [{
             "type": "checkpoint",
             "seq": self._seq,
-            "outcomes": self.outcomes,
+            "outcomes": self._settled,
             "accepted": settled_specs,
         }]
-        for job in list(self.taken.values()) + list(self.pending.values()):
-            bodies.append({"type": "accepted", **job})
+        for job_id in list(self.taken) + list(self.pending):
+            bodies.append({"type": "accepted", **self._specs[job_id]})
         path = self.journal.compact(bodies)
         get_metrics().counter("serve.compactions").inc()
         return path
@@ -177,29 +235,29 @@ def recover(journal_path):
                 if key not in ("type", "seq")
             }
             queue.pending[job["job_id"]] = job
-            queue.accepted[job["job_id"]] = dict(job)
+            queue._specs[job["job_id"]] = encode_fields(job)
             queue._seq = max(queue._seq, int(body.get("seq", 0)))
         elif kind == "done":
             queue.pending.pop(body.get("job_id"), None)
-            queue.outcomes[body.get("job_id")] = {
-                "status": "done", "result": body.get("result"),
-            }
+            queue._settled[body.get("job_id")] = encode_fields(
+                {"status": "done", "result": body.get("result")}
+            )
         elif kind == "failed":
             queue.pending.pop(body.get("job_id"), None)
-            queue.outcomes[body.get("job_id")] = {
+            queue._settled[body.get("job_id")] = encode_fields({
                 "status": "failed",
                 "reason": body.get("reason", "?"),
                 "message": body.get("message", ""),
-            }
+            })
         elif kind == "checkpoint":
             queue.pending.clear()
             queue.taken.clear()
-            queue.outcomes = {
-                job_id: dict(outcome)
+            queue._settled = {
+                job_id: encode_fields(outcome)
                 for job_id, outcome in (body.get("outcomes") or {}).items()
             }
-            queue.accepted = {
-                job_id: dict(spec)
+            queue._specs = {
+                job_id: encode_fields(spec)
                 for job_id, spec in (body.get("accepted") or {}).items()
             }
             queue._seq = max(queue._seq, int(body.get("seq", 0)))

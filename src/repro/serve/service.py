@@ -53,7 +53,6 @@ supports ``corrupt`` (a torn append).
 from __future__ import annotations
 
 import errno
-import json
 import os
 import signal
 import socket
@@ -66,6 +65,7 @@ from ..telemetry.clock import monotonic, wall_time
 from .admission import AdmissionController
 from .protocol import (
     ProtocolError,
+    encode,
     error_response,
     ok_response,
     read_message,
@@ -77,7 +77,8 @@ from .router import default_router, job_seed
 
 __all__ = ["ReproService", "ServiceAlreadyRunning"]
 
-#: Selector poll granularity when idle; dispatch latency is bounded by it.
+#: Longest single wait of the daemon loop: how soon an idle daemon notices
+#: a stop signal.  Connections and worker results end the wait at once.
 _POLL_SECONDS = 0.05
 
 #: Per-connection socket timeout: a stalled client cannot wedge the loop.
@@ -186,6 +187,7 @@ class ReproService:
         self._pool = None
         self._dispatch_started = {}
         self._settled_since_compact = 0
+        self._last_compact_s = None
         self._degraded = False
         self._death_streak = 0
         self._deaths_seen = 0
@@ -269,8 +271,7 @@ class ReproService:
             )
         maybe_fire("serve.accept", kind=kind, client=client)
         job = {
-            "job_id": str(request.get("job_id") or
-                          "job-%08d" % (self.queue._seq + 1)),
+            "job_id": str(requested_id or self._fresh_job_id()),
             "kind": kind,
             "client": client,
             "payload": request.get("payload") or {},
@@ -284,11 +285,23 @@ class ReproService:
         self.counters["accepted"] += 1
         return ok_response(job_id=job["job_id"], position=self.queue.depth())
 
+    def _fresh_job_id(self):
+        """The next generated id that no accepted job holds yet (a
+        client may already have chosen ``job-%08d`` ids itself)."""
+        seq = self.queue._seq
+        while True:
+            seq += 1
+            job_id = "job-%08d" % seq
+            if job_id not in self.queue.accepted:
+                return job_id
+
     def _handle_result(self, request):
         job_id = str(request.get("job_id", ""))
-        outcome = self.queue.outcome(job_id)
-        if outcome is not None:
-            return {"job_id": job_id, **outcome}
+        # The settlement's fields are still encoded: write_message
+        # splices the worker's result text instead of re-encoding it.
+        settlement = self.queue.settlement(job_id)
+        if settlement is not None:
+            return {"job_id": job_id, **settlement}
         if job_id in self.queue.pending or job_id in self.queue.taken:
             return {"status": "pending", "job_id": job_id,
                     "depth": self.queue.depth()}
@@ -308,6 +321,7 @@ class ReproService:
             "bytes": journal.size_bytes(),
             "corrupt_lines": self.replay_stats.corrupt,
             "compactions": self.counters["compactions"],
+            "last_compact_s": self._last_compact_s,
         }
 
     def _worker_stats(self):
@@ -422,8 +436,11 @@ class ReproService:
     # Dispatch
 
     def _run_job(self, job, _seed):
+        """Run one job in a worker; returns its result already encoded,
+        so the daemon never encodes a result (see
+        :class:`~repro.serve.protocol.Encoded`)."""
         maybe_fire("serve.dispatch", job_id=job["job_id"], kind=job["kind"])
-        return self.router.dispatch(job)
+        return encode(self.router.dispatch(job))
 
     def _settle_outcome(self, job, outcome):
         """Journal one job's settlement and release its admission slot."""
@@ -455,10 +472,14 @@ class ReproService:
         if client is not None:
             self.admission.release(client)
 
-    def _dispatch_some(self):
-        """Advance job execution one step; returns jobs touched."""
+    def _dispatch_some(self, wake=None):
+        """Advance job execution one step; returns jobs touched.
+
+        ``wake`` (the main loop passes the listening socket) lets the
+        persistent pool's wait end as soon as a client connects.
+        """
         if self.persistent:
-            return self._dispatch_persistent()
+            return self._dispatch_persistent(wake)
         return self._dispatch_batch()
 
     def _dispatch_batch(self):
@@ -507,7 +528,7 @@ class ReproService:
                 # jobs go back to the queue front — still journaled as
                 # accepted, so even a second crash cannot lose them.
                 for job in reversed(batch):
-                    if self.queue.outcome(job["job_id"]) is None:
+                    if job["job_id"] not in self.queue.outcomes:
                         self.queue.requeue(job)
                 if self._stop_requested is None:
                     self._stop_requested = "interrupt"
@@ -536,13 +557,19 @@ class ReproService:
             get_tracer().event("serve.pool_started", workers=self.workers)
         return self._pool
 
-    def _dispatch_persistent(self):
+    def _dispatch_persistent(self, wake=None):
         """Stream jobs to the persistent pool; settle what completed.
 
         Unlike the batch path there is no barrier: jobs flow to idle
         workers as they free up, and completions settle (journal +
         admission release) the same loop iteration they land, so
         submit/result latency is one pool round trip, not one batch.
+
+        With a ``wake`` source this is the loop's one blocking point: it
+        waits up to ``_POLL_SECONDS`` for a worker result, a deadline or
+        a connection on ``wake``, whichever comes first.  Without one
+        (drain, handler-level callers) it only waits while work is in
+        flight and nothing was just dispatched.
         """
         pool = self._ensure_pool()
         dispatched = 0
@@ -563,8 +590,8 @@ class ReproService:
             )
             dispatched += 1
         busy = bool(self.queue.pending or self.queue.taken)
-        completions = pool.poll(0.0 if (dispatched or not busy) else
-                                _POLL_SECONDS)
+        wait = wake is not None or (busy and not dispatched)
+        completions = pool.poll(_POLL_SECONDS if wait else 0.0, wake=wake)
         for job_id, outcome in completions:
             job = self.queue.taken.get(job_id) or self.queue.accepted.get(
                 job_id, {"job_id": job_id, "kind": "?"}
@@ -604,13 +631,16 @@ class ReproService:
             return False
         if self._degraded:
             return False
+        started = monotonic()
         path = self.queue.compact()
+        self._last_compact_s = round(monotonic() - started, 6)
         self._settled_since_compact = 0
         self.counters["compactions"] += 1
         get_tracer().event(
             "serve.compacted", segment=os.path.basename(path),
             bytes=self.queue.journal.size_bytes(),
             live=self.queue.depth(), settled=len(self.queue.outcomes),
+            seconds=self._last_compact_s,
         )
         return True
 
@@ -623,9 +653,12 @@ class ReproService:
     def serve_forever(self):
         """Bind, recover, serve until stopped; returns the final status.
 
-        The loop alternates between draining the accept socket and
-        advancing dispatch, so submit/status latency is bounded by the
-        slowest single step.  On a stop request (SIGTERM, SIGINT, or
+        The loop alternates between answering every waiting connection
+        and advancing dispatch, so submit/status latency is bounded by
+        the slowest single step.  Each iteration blocks in exactly one
+        place: the persistent pool's poll, which also wakes on the
+        listening socket; in fork-per-job mode, the first accept of an
+        idle daemon.  On a stop request (SIGTERM, SIGINT, or
         the ``stop`` verb) it stops accepting, drains journaled work
         inside ``drain_seconds``, writes the clean ``stop`` marker, and
         removes the socket.
@@ -643,8 +676,8 @@ class ReproService:
         )
         try:
             while self._stop_requested is None:
-                self._poll_accept()
-                self._dispatch_some()
+                self._poll_accept(self._accept_timeout())
+                self._dispatch_some(wake=self._listener)
                 self._maybe_compact()
             self._drain()
             self.queue.mark_stop()
@@ -665,16 +698,27 @@ class ReproService:
             self.queue.close()
         return self.status()
 
-    def _poll_accept(self):
+    def _accept_timeout(self):
+        """How long the accept pass may wait for a first connection.
+
+        Persistent mode never waits here (its pool poll already wakes on
+        the listener), nor does a daemon with work queued or in flight;
+        an idle fork-per-job daemon waits ``_POLL_SECONDS`` so it does
+        not spin.
+        """
+        if self.persistent or self.queue.pending or self.queue.taken:
+            return 0.0
+        return _POLL_SECONDS
+
+    def _poll_accept(self, timeout):
         """Accept and answer every connection currently waiting.
 
-        With work queued or in flight, the accept poll is non-blocking
-        so dispatch latency stays at one loop iteration; idle, it
-        blocks for ``_POLL_SECONDS`` so an empty daemon does not spin.
+        Only the first accept may wait (up to ``timeout``); the rest of
+        the pass is non-blocking and ends as soon as no connection is
+        waiting, so clients polling faster than ``_POLL_SECONDS`` cannot
+        hold the loop away from dispatch.
         """
-        self._listener.settimeout(
-            0.0 if (self.queue.pending or self.queue.taken) else _POLL_SECONDS
-        )
+        self._listener.settimeout(timeout)
         while True:
             try:
                 conn, _ = self._listener.accept()
@@ -684,6 +728,7 @@ class ReproService:
                 if exc.errno in (errno.EBADF, errno.EINVAL):
                     return
                 raise
+            self._listener.settimeout(0.0)
             self._serve_one_connection(conn)
 
     def _drain(self):

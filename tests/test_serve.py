@@ -2,16 +2,26 @@
 queue recovery, admission control, routing determinism, and the daemon
 itself (both handler-level and end-to-end over a real Unix socket)."""
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
+import tempfile
 import threading
+import time
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.resilience import FaultPlan, SimulatedKill, inject_faults
 from repro.serve import (
     AdmissionController,
+    Encoded,
     JobQueue,
     Journal,
     LoadShedded,
@@ -20,7 +30,9 @@ from repro.serve import (
     Router,
     ServeClient,
     ServeError,
+    canonical_json,
     default_router,
+    encode,
     job_seed,
     read_journal,
     read_message,
@@ -29,6 +41,7 @@ from repro.serve import (
     segment_paths,
     write_message,
 )
+from repro.telemetry import monotonic
 
 
 # ----------------------------------------------------------------------
@@ -86,6 +99,31 @@ class TestProtocol:
 
         with pytest.raises(ProtocolError):
             read_message(FakeSock(struct.pack(">I", (64 << 20) + 1)))
+
+    def test_messages_are_canonical_json(self):
+        sock = FakeSock()
+        write_message(sock, {"b": [1, 2.5], "a": {"z": "\u00e9", "y": None}})
+        assert bytes(sock.sent[4:]) == (
+            b'{"a":{"y":null,"z":"\\u00e9"},"b":[1,2.5]}'
+        )
+
+    def test_encoded_values_are_spliced_not_reencoded(self):
+        result = {"x": [[0.1, -0.0]], "label": "\u2603", "big": 2 ** 70}
+        spliced = canonical_json({"job_id": "j", "status": "done",
+                                  "result": encode(result),
+                                  "nested": {"r": encode([1e-300])}})
+        plain = json.dumps({"job_id": "j", "status": "done",
+                            "result": result, "nested": {"r": [1e-300]}},
+                           sort_keys=True, separators=(",", ":"))
+        assert spliced == plain
+        sock = FakeSock()
+        write_message(sock, {"status": "done", "result": encode(result)})
+        assert read_message(FakeSock(bytes(sock.sent)))["result"] == result
+        # Plain json refuses an Encoded: it can never pass for a string.
+        with pytest.raises(TypeError):
+            json.dumps({"result": encode(result)})
+        assert isinstance(encode(encode(1)), Encoded)
+        assert encode(encode(1)).text == "1"
 
     def test_settlement_statuses_are_part_of_the_contract(self):
         # client.wait settles on "done"/"failed" from the result verb;
@@ -368,6 +406,216 @@ class TestQueueCompaction:
         # round's checkpoint replaces — not stacks on — the previous one.
         assert len(queue.journal.segments()) == 1
         assert sizes[-1] < sizes[0] * 6
+
+    def test_compaction_encodes_no_settled_history(self, tmp_path,
+                                                   monkeypatch):
+        # Settled results and specs were encoded once, at settlement and
+        # accept; compaction must splice that text, not encode it again.
+        # Count every JSON encode (json.dumps goes through
+        # JSONEncoder.encode) while the queue compacts.
+        queue = JobQueue(Journal(tmp_path / "journal.jsonl"))
+        rows = [[i + j / 7.0 for j in range(16)] for i in range(600)]
+        settled = 12
+        for i in range(settled):
+            job_id = "s%02d" % i
+            queue.accept(_job(job_id, kind="resample",
+                              payload={"x": rows, "y": [i] * 600}))
+            result = {"x": rows, "n_synthetic": i}
+            queue.settle_done(job_id, encode(result) if i % 2 else result)
+        queue.accept(_job("f0"))
+        queue.settle_failed("f0", "RuntimeError", "boom")
+        live = ["l0", "l1"]
+        for job_id in live:
+            queue.accept(_job(job_id, payload={"n": job_id}))
+        queue.take(1)
+        settled_bytes = queue.journal.size_bytes()
+        assert settled_bytes > settled * 2 * 100_000  # ~100 kB each way
+
+        encoded = []
+        original = json.JSONEncoder.encode
+
+        def counting(self, obj):
+            text = original(self, obj)
+            encoded.append((type(obj).__name__, len(text)))
+            return text
+
+        monkeypatch.setattr(json.JSONEncoder, "encode", counting)
+        queue.compact()
+        monkeypatch.undo()
+        containers = [size for kind, size in encoded
+                      if kind in ("dict", "list")]
+        # At most one structured encode per live ``accepted`` record, and
+        # nothing of settled size: the history is spliced, not re-encoded.
+        assert len(containers) <= len(live)
+        assert sum(size for _, size in encoded) < settled_bytes / 100
+        queue.close()
+        recovered, _ = recover(tmp_path / "journal.jsonl")
+        assert len(recovered.outcomes) == settled + 1
+        assert recovered.outcome("s03")["result"]["n_synthetic"] == 3
+        assert recovered.outcome("f0")["reason"] == "RuntimeError"
+        assert list(recovered.pending) == live
+        recovered.close()
+
+
+# ----------------------------------------------------------------------
+# Byte identity: encode-once and streamed records vs plain json.dumps
+# ----------------------------------------------------------------------
+def _reference_line(body):
+    """A journal line encoded the plain way: the body, then the wrapper,
+    each through json.dumps (the format every journal has used)."""
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return json.dumps(
+        {"sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+         "body": body},
+        sort_keys=True, separators=(",", ":"),
+    )
+
+
+class _ReferenceQueue:
+    """What a queue journals for a history, from plain dicts only."""
+
+    def __init__(self):
+        self.lines = []
+        self.seq = 0
+        self.pending = OrderedDict()
+        self.taken = OrderedDict()
+        self.accepted = {}
+        self.outcomes = {}
+
+    def accept(self, job):
+        self.seq += 1
+        self.lines.append(_reference_line(
+            {"type": "accepted", "seq": self.seq, **job}))
+        self.pending[job["job_id"]] = job
+        self.accepted[job["job_id"]] = job
+
+    def settle(self, job_id, record, outcome):
+        self.lines.append(_reference_line(
+            {"type": record, "job_id": job_id, **outcome}))
+        self.pending.pop(job_id, None)
+        self.taken.pop(job_id, None)
+        self.outcomes[job_id] = {
+            "status": record, **outcome,
+        }
+
+    def take(self, limit):
+        for _ in range(min(limit, len(self.pending))):
+            job_id, job = self.pending.popitem(last=False)
+            self.taken[job_id] = job
+
+    def compact(self):
+        live = list(self.taken.values()) + list(self.pending.values())
+        self.lines = [_reference_line({
+            "type": "checkpoint", "seq": self.seq, "outcomes": self.outcomes,
+            "accepted": {job_id: spec for job_id, spec
+                         in self.accepted.items()
+                         if job_id in self.outcomes},
+        })] + [_reference_line({"type": "accepted", **job}) for job in live]
+
+    def recover(self):
+        # Replay re-pends every live job, taken ones first (take() only
+        # ever removes from the front of acceptance order).
+        self.pending = OrderedDict(list(self.taken.items())
+                                   + list(self.pending.items()))
+        self.taken = OrderedDict()
+
+
+def _canonical_map(mapping):
+    """NaN-safe comparison form: job id -> canonical JSON text."""
+    return {key: json.dumps(value, sort_keys=True, separators=(",", ":"))
+            for key, value in mapping.items()}
+
+
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 1e-300, 5e-324, float("nan")]),
+    st.text(max_size=6),
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(max_size=4), children, max_size=3),
+    ),
+    max_leaves=12,
+)
+_journal_ops = st.lists(st.one_of(
+    st.tuples(st.just("accept"),
+              st.dictionaries(st.text(max_size=4), _json_values,
+                              max_size=3)),
+    st.tuples(st.just("done"), st.integers(0, 5), _json_values,
+              st.booleans()),
+    st.tuples(st.just("failed"), st.integers(0, 5), st.text(max_size=6),
+              st.text(max_size=6)),
+    st.tuples(st.just("take"), st.integers(1, 3)),
+    st.tuples(st.just("compact")),
+    st.tuples(st.just("recover")),
+), max_size=24)
+
+
+class TestJournalByteIdentity:
+    @given(_journal_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_journal_matches_plain_encoding_across_histories(self, ops):
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "journal.jsonl")
+            queue = JobQueue(Journal(path))
+            reference = _ReferenceQueue()
+            try:
+                for op in ops:
+                    self._apply(op, queue, reference, path)
+                    queue = self._queue_after(op, queue, reference, path)
+                    on_disk = b"".join(open(segment, "rb").read()
+                                       for segment in segment_paths(path))
+                    expected = "".join(line + "\n"
+                                       for line in reference.lines)
+                    assert on_disk == expected.encode("utf-8"), op[0]
+            finally:
+                queue.close()
+
+    @staticmethod
+    def _apply(op, queue, reference, path):
+        live = list(reference.pending) + list(reference.taken)
+        if op[0] == "accept":
+            job = _job("j%d" % (reference.seq + 1), payload=op[1])
+            queue.accept(job)
+            reference.accept(job)
+        elif op[0] in ("done", "failed") and live:
+            job_id = live[op[1] % len(live)]
+            if op[0] == "done":
+                result = op[2]
+                # The daemon's path hands over the worker's encoding.
+                queue.settle_done(job_id, encode(result) if op[3]
+                                  else result)
+                reference.settle(job_id, "done", {"result": result})
+            else:
+                queue.settle_failed(job_id, op[2], op[3])
+                reference.settle(job_id, "failed",
+                                 {"reason": op[2], "message": op[3]})
+        elif op[0] == "take":
+            queue.take(op[1])
+            reference.take(op[1])
+        elif op[0] == "compact":
+            queue.compact()
+            reference.compact()
+
+    @staticmethod
+    def _queue_after(op, queue, reference, path):
+        if op[0] != "recover":
+            return queue
+        queue.close()
+        queue, _ = recover(path)
+        reference.recover()
+        assert list(queue.pending) == list(reference.pending)
+        assert _canonical_map(queue.pending) == \
+            _canonical_map(reference.pending)
+        assert _canonical_map(queue.outcomes) == \
+            _canonical_map(reference.outcomes)
+        assert _canonical_map(queue.accepted) == \
+            _canonical_map(reference.accepted)
+        assert queue._seq == reference.seq
+        return queue
 
 
 # ----------------------------------------------------------------------
@@ -668,6 +916,23 @@ class TestServiceHandlers:
         assert "different kind/payload" in conflict["message"]
         service.queue.close()
 
+    def test_generated_ids_skip_ids_a_client_already_chose(self, tmp_path):
+        # A client may pick an id in the generated ``job-%08d`` form; the
+        # next generated id must skip it rather than collide with it.
+        service = _service(tmp_path)
+        chosen = service._handle_submit(
+            {"kind": "echo", "client": "a", "job_id": "job-00000002"}
+        )
+        assert chosen["job_id"] == "job-00000002"
+        first = service._handle_submit({"kind": "echo", "client": "a"})
+        assert first["status"] == "ok", first
+        second = service._handle_submit({"kind": "echo", "client": "a"})
+        assert second["status"] == "ok", second
+        ids = {chosen["job_id"], first["job_id"], second["job_id"]}
+        assert len(ids) == 3
+        assert service.counters["accepted"] == 3
+        service.queue.close()
+
     def test_peer_reset_and_broken_pipe_do_not_crash(self, tmp_path):
         # A client that resets the connection or closes before reading
         # the response (routine when it times out during a slow batch)
@@ -793,8 +1058,9 @@ class TestServiceHealth:
         assert payload["workers"] == {"mode": "fork-per-job", "count": 1}
         journal = payload["journal"]
         assert set(journal) == {"segments", "bytes", "corrupt_lines",
-                                "compactions"}
+                                "compactions", "last_compact_s"}
         assert journal["segments"] == 1
+        assert journal["last_compact_s"] is None  # no compaction yet
         service.queue.close()
 
     def test_health_verb_routed(self, tmp_path):
@@ -867,6 +1133,21 @@ class TestServiceHealth:
             service._maybe_compact()
         assert service.counters["compactions"] == 2
         assert service.status()["journal_stats"]["segments"] == 1
+        service.queue.close()
+
+
+    def test_compaction_time_in_health_status_and_trace(self, tmp_path):
+        service = _service(tmp_path, compact_every=1)
+        with telemetry.session() as tracer:
+            service._handle_submit({"kind": "echo", "client": "a"})
+            service._dispatch_some()
+            assert service._maybe_compact() is True
+        seconds = service.health()["journal"]["last_compact_s"]
+        assert isinstance(seconds, float) and seconds >= 0.0
+        assert service.status()["journal_stats"]["last_compact_s"] == seconds
+        events = [record for record in tracer.records
+                  if record.get("name") == "serve.compacted"]
+        assert [event["attrs"]["seconds"] for event in events] == [seconds]
         service.queue.close()
 
 
@@ -1100,3 +1381,55 @@ class TestServiceEndToEnd:
         with pytest.raises(ServiceAlreadyRunning):
             rival._claim_socket()
         rival.queue.close()
+
+
+# ----------------------------------------------------------------------
+# Dispatch keeps up while clients poll (real daemon processes)
+# ----------------------------------------------------------------------
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class TestDispatchUnderPolling:
+    @pytest.mark.parametrize("mode", [
+        ("--persistent", "--workers", "2"),
+        ("--workers", "2"),
+    ], ids=["persistent", "fork-per-job"])
+    def test_polled_jobs_settle_while_polling_continues(self, tmp_path,
+                                                        mode):
+        # Two clients polling their jobs every 25 ms keep a connection
+        # arriving well inside every 50 ms.  The daemon must still
+        # dispatch between connections instead of only answering them.
+        socket_path = str(tmp_path / "d.sock")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "start",
+             "--socket", socket_path,
+             "--journal", str(tmp_path / "journal.jsonl"), *mode],
+            cwd=_REPO, env={**os.environ, "PYTHONPATH": "src"},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        client = ServeClient(socket_path, client_id="poll", timeout=30.0)
+        try:
+            deadline = monotonic() + 30.0
+            while not client.alive():
+                assert process.poll() is None, "daemon exited on start"
+                assert monotonic() < deadline, "daemon never came up"
+                time.sleep(0.05)
+            jobs = (client.submit("echo", {"n": 1}),
+                    client.submit("echo", {"n": 2}))
+            deadline = monotonic() + 1.0
+            statuses = ()
+            while monotonic() < deadline:
+                statuses = tuple(client.result(job_id)["status"]
+                                 for job_id in jobs)
+                if statuses == ("done", "done"):
+                    break
+                time.sleep(0.025)
+            assert statuses == ("done", "done")
+        finally:
+            if process.poll() is None:
+                try:
+                    client.stop()
+                    process.wait(timeout=30.0)
+                except (OSError, ServeError, subprocess.TimeoutExpired):
+                    process.kill()
+                    process.wait(timeout=10.0)
